@@ -5,6 +5,9 @@
 /// recorder (BENCH_<name>.json artifacts; see docs/observability.md).
 #pragma once
 
+#include <unistd.h>
+
+#include <atomic>
 #include <cstdint>
 #include <cstdio>
 #include <cstdlib>
@@ -36,6 +39,19 @@
 #include "util/timer.hpp"
 
 namespace fhp::bench {
+
+/// A temp-root path no concurrent run can share: \p stem plus this
+/// process's pid and a per-process counter, so two bench processes (or
+/// two legs of one) never write, bind or delete each other's files.
+inline std::filesystem::path unique_temp_path(const std::string& stem) {
+  static std::atomic<int> counter{0};
+  std::string name = stem;
+  name += '_';
+  name += std::to_string(::getpid());
+  name += '_';
+  name += std::to_string(counter.fetch_add(1));
+  return std::filesystem::temp_directory_path() / name;
+}
 
 /// One instance of the paper's Table 2 test suite. Bd2's size is not
 /// legible in the available text; a value between Bd1 and Bd3 is used and

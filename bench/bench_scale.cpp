@@ -88,8 +88,7 @@ double time_parse(const char* label, double modules, int reps, RunFn&& run) {
 
 void hmetis_leg() {
   print_header("hMETIS ingest: 1M modules, sharded generation");
-  const std::string dir =
-      (std::filesystem::temp_directory_path() / "fhp_bench_scale").string();
+  const std::string dir = unique_temp_path("fhp_bench_scale").string();
   std::filesystem::create_directories(dir);
   const std::string path = dir + "/scale_1m.hgr";
 
@@ -152,8 +151,7 @@ void hmetis_leg() {
 
 void bookshelf_leg() {
   print_header("Bookshelf ingest: 200k modules (differential)");
-  const std::string dir =
-      (std::filesystem::temp_directory_path() / "fhp_bench_scale_bs").string();
+  const std::string dir = unique_temp_path("fhp_bench_scale_bs").string();
   std::filesystem::create_directories(dir);
   const std::string nodes_path = dir + "/scale.nodes";
   const std::string nets_path = dir + "/scale.nets";

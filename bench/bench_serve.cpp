@@ -99,7 +99,7 @@ int main() {
   BenchSession session("serve");
 
   const std::string socket_path =
-      std::filesystem::temp_directory_path() / "fhp_bench_serve.sock";
+      unique_temp_path("fhp_bench_serve").string() + ".sock";
   serve::ServerOptions server_options;
   server_options.socket_path = socket_path;
   server_options.scheduler.threads = 2;

@@ -35,7 +35,7 @@ using GainHeap = std::priority_queue<HeapEntry>;
 
 class FmPass {
  public:
-  FmPass(Bipartition& p, Weight tolerance, int& moves_budget,
+  FmPass(Bipartition& p, Weight tolerance, std::int64_t& moves_budget,
          const std::vector<std::uint8_t>& fixed)
       : p_(p),
         tolerance_(tolerance),
@@ -158,7 +158,7 @@ class FmPass {
 
   Bipartition& p_;
   Weight tolerance_;
-  int& moves_budget_;
+  std::int64_t& moves_budget_;
   const std::vector<std::uint8_t>& fixed_;
   std::vector<std::uint8_t> locked_;
   std::vector<Weight> gain_;
@@ -166,6 +166,10 @@ class FmPass {
 };
 
 }  // namespace
+
+std::int64_t fm_move_budget(int max_passes, VertexId num_modules) noexcept {
+  return std::int64_t{max_passes} * static_cast<std::int64_t>(num_modules) * 2;
+}
 
 BaselineResult fiduccia_mattheyses(const Hypergraph& h,
                                    const FmOptions& options) {
@@ -199,8 +203,8 @@ BaselineResult fiduccia_mattheyses(const Hypergraph& h,
   BaselineResult result;
   // Global move budget keeps the baseline politely bounded on adversarial
   // instances; ordinary runs converge long before it is reached.
-  int moves_budget =
-      options.max_passes * static_cast<int>(h.num_vertices()) * 2;
+  std::int64_t moves_budget =
+      fm_move_budget(options.max_passes, h.num_vertices());
   FHP_REQUIRE(options.fixed.empty() ||
                   options.fixed.size() == h.num_vertices(),
               "fixed mask must be empty or cover every module");

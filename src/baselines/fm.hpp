@@ -38,6 +38,12 @@ struct FmOptions {
   std::vector<std::uint8_t> fixed;
 };
 
+/// Total moves fiduccia_mattheyses() may make across all passes:
+/// 2 * max_passes * num_modules, in 64 bits (at 32 passes an int overflows
+/// past ~33.5M modules).
+[[nodiscard]] std::int64_t fm_move_budget(int max_passes,
+                                          VertexId num_modules) noexcept;
+
 /// Runs Fiduccia–Mattheyses on \p h. Requires >= 2 modules.
 /// `iterations` in the result counts completed passes.
 [[nodiscard]] BaselineResult fiduccia_mattheyses(const Hypergraph& h,

@@ -96,7 +96,8 @@ Algorithm1Context::Algorithm1Context(const Hypergraph& h,
   FHP_REQUIRE(h.num_vertices() >= 2,
               "a proper cut needs at least two modules");
   const int lanes = resolve_threads(options.threads);
-  if (lanes > 1) pool_ = std::make_unique<ThreadPool>(lanes);
+  if (lanes > 1) owned_pool_ = std::make_unique<ThreadPool>(lanes);
+  pool_ = owned_pool_.get();
   {
     FHP_TRACE_SCOPE("filter");
     if (options.large_edge_threshold > 0) {
@@ -111,7 +112,7 @@ Algorithm1Context::Algorithm1Context(const Hypergraph& h,
   FHP_COUNTER_ADD("alg1/filtered_nets",
                   static_cast<long long>(filtered_edge_count()));
   IntersectionOptions intersection_options;
-  intersection_options.pool = pool_.get();
+  intersection_options.pool = pool_;
   g_ = intersection_graph(filtered_, intersection_options);
   {
     FHP_TRACE_SCOPE("components");
@@ -120,21 +121,43 @@ Algorithm1Context::Algorithm1Context(const Hypergraph& h,
     g_component_count_ = comps.count();
   }
   degenerate_ = (g_.num_vertices() == 0) || (g_component_count_ > 1);
-  if (options_.reorder && !degenerate_ && g_.num_vertices() >= 2) {
-    // Locality permutation for the BFS-heavy steps (graph/reorder.hpp).
-    // Results are mapped back to original net ids immediately after the
-    // initial cut, so everything downstream — memo keys, boundary
-    // extraction, completion, reported cuts — lives in original ids and
-    // the partition is provably unaffected (see find_pair/run_from_pair).
-    FHP_TRACE_SCOPE("reorder");
-    Timer timer;
-    perm_ = degree_bucketed_bfs_order(g_);
-    if (!perm_.is_identity()) {
-      g_perm_ = g_.permuted(perm_);
-      reordered_ = true;
-    }
-    FHP_GAUGE_SET("algorithm1/reorder_ms", timer.seconds() * 1e3);
+  prepare_traversal();
+}
+
+Algorithm1Context::Algorithm1Context(const Hypergraph& block,
+                                     Hypergraph filtered, Graph g,
+                                     ThreadPool* pool,
+                                     const Algorithm1Options& options)
+    : h_(&block),
+      options_(options),
+      pool_(pool),
+      filtered_(std::move(filtered)),
+      g_(std::move(g)) {
+  FHP_REQUIRE(block.num_vertices() >= 2,
+              "a proper cut needs at least two modules");
+  FHP_ASSERT(g_.num_vertices() > 0, "a block slice holds at least one net");
+  FHP_COUNTER_ADD("alg1/filtered_nets",
+                  static_cast<long long>(filtered_edge_count()));
+  g_component_.assign(g_.num_vertices(), 0);
+  g_component_count_ = 1;
+  prepare_traversal();
+}
+
+void Algorithm1Context::prepare_traversal() {
+  if (!options_.reorder || degenerate_ || g_.num_vertices() < 2) return;
+  // Locality permutation for the BFS-heavy steps (graph/reorder.hpp).
+  // Results are mapped back to original net ids immediately after the
+  // initial cut, so everything downstream — memo keys, boundary
+  // extraction, completion, reported cuts — lives in original ids and
+  // the partition is provably unaffected (see find_pair/run_from_pair).
+  FHP_TRACE_SCOPE("reorder");
+  Timer timer;
+  perm_ = degree_bucketed_bfs_order(g_);
+  if (!perm_.is_identity()) {
+    g_perm_ = g_.permuted(perm_);
+    reordered_ = true;
   }
+  FHP_GAUGE_SET("algorithm1/reorder_ms", timer.seconds() * 1e3);
 }
 
 Algorithm1Result Algorithm1Context::run_degenerate() const {
@@ -165,9 +188,11 @@ Algorithm1Result Algorithm1Context::run_degenerate() const {
   }
 
   // If one block dominates the total weight, packing whole blocks cannot
-  // come close to balance: bisect the dominant block with Algorithm I
-  // (its dual component is connected, so this does not recurse into the
-  // degenerate path again) and treat its halves as two blocks.
+  // come close to balance: bisect the dominant block with Algorithm I on
+  // its slice of this context (its G-component is connected, so this does
+  // not recurse into the degenerate path again) and treat its halves as
+  // two blocks. The slice is the sub-instance a fresh Algorithm I run on
+  // the induced block would build, so the halves are the same.
   {
     Weight total = 0;
     std::size_t heaviest = 0;
@@ -183,19 +208,22 @@ Algorithm1Result Algorithm1Context::run_degenerate() const {
     }
     for (VertexId v : free_vertices) total += h.vertex_weight(v);
     if (2 * heaviest_weight > total && blocks[heaviest].size() >= 2) {
-      std::vector<std::uint8_t> keep(h.num_vertices(), 0);
-      for (VertexId v : blocks[heaviest]) keep[v] = 1;
-      const InducedResult sub = induced_subhypergraph(h, keep);
+      FHP_TRACE_SCOPE("block_bisect");
+      FHP_COUNTER_ADD("alg1/runs", 1);
+      BlockSlice block = slice(static_cast<VertexId>(heaviest));
       Algorithm1Options inner_options = options_;
       std::uint64_t sm = options_.seed;
       inner_options.seed = splitmix64(sm);
       inner_options.collect_trace = false;  // snapshots only at top level
-      const Algorithm1Result inner = algorithm1(sub.hypergraph, inner_options);
+      const Algorithm1Context inner(block.block, std::move(block.filtered),
+                                    std::move(block.g), pool_,
+                                    inner_options);
+      const Algorithm1Result bisection = inner.run_starts();
       std::vector<VertexId> half0;
       std::vector<VertexId> half1;
-      for (VertexId u = 0; u < sub.hypergraph.num_vertices(); ++u) {
-        (inner.sides[u] == 0 ? half0 : half1)
-            .push_back(sub.kept_vertices[u]);
+      for (VertexId u = 0; u < block.kept_vertices.size(); ++u) {
+        (bisection.sides[u] == 0 ? half0 : half1)
+            .push_back(block.kept_vertices[u]);
       }
       blocks[heaviest] = std::move(half0);
       blocks.push_back(std::move(half1));
@@ -230,6 +258,158 @@ Algorithm1Result Algorithm1Context::run_degenerate() const {
   const Bipartition partition(h, result.sides);
   result.metrics = compute_metrics(partition);
   return result;
+}
+
+Algorithm1Context::BlockSlice Algorithm1Context::slice(
+    VertexId component) const {
+  FHP_TRACE_SCOPE("block_slice");
+  FHP_REQUIRE(component < g_component_count_, "component out of range");
+  const Hypergraph& h = *h_;
+  const std::uint32_t threshold = options_.large_edge_threshold;
+  BlockSlice out;
+
+  // Block modules: the pins of the component's nets, numbered ascending
+  // (the numbering induced_subhypergraph gives them).
+  std::vector<VertexId> vertex_map(h.num_vertices(), kInvalidVertex);
+  for (EdgeId f = 0; f < filtered_.num_edges(); ++f) {
+    if (g_component_[f] != component) continue;
+    for (VertexId v : filtered_.pins(f)) vertex_map[v] = 0;
+  }
+  std::vector<Weight> vertex_weights;
+  std::size_t pin_bound = 0;  // block incidences: a bound on either CSR
+  for (VertexId v = 0; v < h.num_vertices(); ++v) {
+    if (vertex_map[v] == kInvalidVertex) continue;
+    vertex_map[v] = static_cast<VertexId>(out.kept_vertices.size());
+    out.kept_vertices.push_back(v);
+    vertex_weights.push_back(h.vertex_weight(v));
+    pin_bound += h.degree(v);
+  }
+
+  // One pass over the nets, in id order, fills both CSRs. A net the
+  // filter kept lies wholly inside the block iff it is in the component
+  // (a kept net sharing a module with a component net is adjacent to it
+  // in G), and wholly outside otherwise. A net over the threshold may
+  // straddle the block; restricted to its 2..threshold block pins it joins
+  // the block's filtered set — the one way that set can differ from the
+  // component's nets.
+  std::vector<std::size_t> block_offsets{0};
+  std::vector<VertexId> block_pins;
+  std::vector<Weight> block_weights;
+  std::vector<std::size_t> filtered_offsets{0};
+  std::vector<VertexId> filtered_pins;
+  std::vector<Weight> filtered_weights;
+  block_pins.reserve(pin_bound);
+  filtered_pins.reserve(pin_bound);
+  // Per slice G-vertex: its net's filtered_ id, or kInvalidEdge for a
+  // straddling net.
+  std::vector<EdgeId> parent_of;
+  EdgeId next_filtered = 0;
+  for (EdgeId e = 0; e < h.num_edges(); ++e) {
+    const Count size = h.edge_size(e);
+    if (size < 2) continue;
+    const std::size_t first = block_pins.size();
+    if (threshold == 0 || size <= threshold) {
+      const EdgeId f = next_filtered++;
+      if (g_component_[f] != component) continue;
+      for (VertexId v : h.pins(e)) block_pins.push_back(vertex_map[v]);
+      parent_of.push_back(f);
+    } else {
+      for (VertexId v : h.pins(e)) {
+        if (vertex_map[v] != kInvalidVertex) {
+          block_pins.push_back(vertex_map[v]);
+        }
+      }
+      const std::size_t kept = block_pins.size() - first;
+      if (kept < 2) {
+        block_pins.resize(first);
+        continue;
+      }
+      if (kept > threshold) {
+        block_offsets.push_back(block_pins.size());
+        block_weights.push_back(h.edge_weight(e));
+        continue;
+      }
+      parent_of.push_back(kInvalidEdge);
+    }
+    block_offsets.push_back(block_pins.size());
+    block_weights.push_back(h.edge_weight(e));
+    filtered_pins.insert(
+        filtered_pins.end(),
+        block_pins.begin() + static_cast<std::ptrdiff_t>(first),
+        block_pins.end());
+    filtered_offsets.push_back(filtered_pins.size());
+    filtered_weights.push_back(h.edge_weight(e));
+  }
+  FHP_ASSERT(next_filtered == filtered_.num_edges(),
+             "the slice walk must mirror the large-net filter");
+  out.block = Hypergraph::from_csr(std::move(block_offsets),
+                                   std::move(block_pins), vertex_weights,
+                                   std::move(block_weights));
+  out.filtered = Hypergraph::from_csr(
+      std::move(filtered_offsets), std::move(filtered_pins),
+      std::move(vertex_weights), std::move(filtered_weights));
+
+  // G rows. A component net's parent row, renumbered, is its whole row
+  // (ids map monotonically, so it stays sorted) except for straddling
+  // neighbors; a straddling net's row comes from the block's incidences.
+  const Hypergraph& fb = out.filtered;
+  const auto m = static_cast<VertexId>(parent_of.size());
+  std::vector<VertexId> slice_id(filtered_.num_edges(), kInvalidVertex);
+  for (VertexId i = 0; i < m; ++i) {
+    if (parent_of[i] != kInvalidEdge) slice_id[parent_of[i]] = i;
+  }
+  std::vector<std::ptrdiff_t> straddle_offsets{0};
+  std::vector<VertexId> straddle_rows;
+  std::vector<std::pair<VertexId, VertexId>> extra;  // (row, straddler)
+  std::vector<VertexId> mark;
+  for (VertexId i = 0; i < m; ++i) {
+    if (parent_of[i] != kInvalidEdge) continue;
+    if (mark.empty()) mark.assign(m, kInvalidVertex);
+    for (VertexId v : fb.pins(i)) {
+      for (EdgeId j : fb.nets_of(v)) {
+        if (j == i || mark[j] == i) continue;
+        mark[j] = i;
+        straddle_rows.push_back(static_cast<VertexId>(j));
+        if (parent_of[j] != kInvalidEdge) {
+          extra.emplace_back(static_cast<VertexId>(j), i);
+        }
+      }
+    }
+    std::sort(straddle_rows.begin() + straddle_offsets.back(),
+              straddle_rows.end());
+    straddle_offsets.push_back(
+        static_cast<std::ptrdiff_t>(straddle_rows.size()));
+  }
+  std::sort(extra.begin(), extra.end());
+
+  std::vector<std::size_t> offsets{0};
+  offsets.reserve(static_cast<std::size_t>(m) + 1);
+  std::vector<VertexId> adjacency;
+  adjacency.reserve(2 * g_.num_edges() + straddle_rows.size() + extra.size());
+  std::size_t straddler = 0;
+  std::size_t next_extra = 0;
+  for (VertexId i = 0; i < m; ++i) {
+    if (parent_of[i] == kInvalidEdge) {
+      const auto rows = straddle_rows.begin();
+      adjacency.insert(adjacency.end(), rows + straddle_offsets[straddler],
+                       rows + straddle_offsets[straddler + 1]);
+      ++straddler;
+    } else {
+      const auto row = static_cast<std::ptrdiff_t>(offsets.back());
+      for (VertexId f : g_.neighbors(parent_of[i])) {
+        adjacency.push_back(slice_id[f]);
+      }
+      const auto middle = static_cast<std::ptrdiff_t>(adjacency.size());
+      while (next_extra < extra.size() && extra[next_extra].first == i) {
+        adjacency.push_back(extra[next_extra++].second);
+      }
+      std::inplace_merge(adjacency.begin() + row, adjacency.begin() + middle,
+                         adjacency.end());
+    }
+    offsets.push_back(adjacency.size());
+  }
+  out.g = Graph::from_csr(std::move(offsets), std::move(adjacency));
+  return out;
 }
 
 Algorithm1Result Algorithm1Context::run_floating_split() const {
@@ -322,20 +502,116 @@ DiameterPair Algorithm1Context::find_pair(VertexId start, Workspace& ws) const {
   FHP_REQUIRE(start < g_.num_vertices(), "start vertex out of range");
   FHP_REQUIRE(g_.num_vertices() >= 2,
               "a pseudo-diameter pair needs at least two G-vertices");
-  if (!reordered_) {
-    return longest_path_from(g_, start, options_.bfs_sweeps, ws);
-  }
-  // Traverse the locality-permuted graph but break `farthest` ties by
-  // original id (tie_rank = inverse permutation): the elected endpoints —
-  // and hence the memo keys and everything downstream — are exactly those
-  // the un-reordered run elects.
+  FHP_REQUIRE(options_.bfs_sweeps >= 1, "need at least one BFS sweep");
+  const DiameterPair first = first_sweep(start, ws);
+  return options_.bfs_sweeps == 1 ? first : continue_sweeps(first.t, ws);
+}
+
+// Both halves traverse the locality-permuted graph when reordered but
+// break `farthest` ties by original id (tie_rank = inverse permutation):
+// the elected endpoints — and hence the memo keys and everything
+// downstream — are exactly those the un-reordered run elects.
+DiameterPair Algorithm1Context::first_sweep(VertexId start,
+                                            Workspace& ws) const {
+  if (!reordered_) return fhp::first_sweep(g_, start, ws);
   BfsKernelOptions kernel;
   kernel.tie_rank = perm_.to_old.data();
-  DiameterPair pair = longest_path_from(g_perm_, perm_.to_new[start],
-                                        options_.bfs_sweeps, ws, kernel);
+  DiameterPair pair =
+      fhp::first_sweep(g_perm_, perm_.to_new[start], ws, kernel);
   pair.s = perm_.to_old[pair.s];
   pair.t = perm_.to_old[pair.t];
   return pair;
+}
+
+DiameterPair Algorithm1Context::continue_sweeps(VertexId v,
+                                                Workspace& ws) const {
+  if (!reordered_) return fhp::continue_sweeps(g_, v, options_.bfs_sweeps, ws);
+  BfsKernelOptions kernel;
+  kernel.tie_rank = perm_.to_old.data();
+  DiameterPair pair = fhp::continue_sweeps(g_perm_, perm_.to_new[v],
+                                           options_.bfs_sweeps, ws, kernel);
+  pair.s = perm_.to_old[pair.s];
+  pair.t = perm_.to_old[pair.t];
+  return pair;
+}
+
+Algorithm1Context::LaneScratch Algorithm1Context::make_lane_scratch() const {
+  const std::size_t lanes =
+      static_cast<std::size_t>(pool_ != nullptr ? pool_->thread_count() : 1);
+  LaneScratch scratch;
+  scratch.reserve(lanes);
+  for (std::size_t i = 0; i < lanes; ++i) {
+    scratch.push_back(std::make_unique<StartScratch>());
+  }
+  return scratch;
+}
+
+namespace {
+
+/// Runs fn(i, lane scratch) for i in [0, count) on \p pool, or serially.
+/// current_lane() is only a valid index into \p lanes INSIDE a region of
+/// the context's own pool (where the caller is normalized to 0 and workers
+/// are 1..N-1). On the serial path the executing thread may be a worker of
+/// an *outer* pool — e.g. the serving layer batching independent partition
+/// calls across its lanes — whose lane id has nothing to do with \p lanes,
+/// so the serial path indexes lane 0 explicitly.
+template <typename Fn>
+void for_each_on_lanes(ThreadPool* pool, std::size_t count,
+                       const Algorithm1Context::LaneScratch& lanes, Fn&& fn) {
+  if (pool != nullptr && pool->thread_count() > 1 && count > 1) {
+    pool->parallel_for(count, 1, [&](std::size_t begin, std::size_t end) {
+      Algorithm1Context::StartScratch& scratch =
+          *lanes[static_cast<std::size_t>(ThreadPool::current_lane())];
+      for (std::size_t i = begin; i < end; ++i) fn(i, scratch);
+    });
+  } else {
+    for (std::size_t i = 0; i < count; ++i) fn(i, *lanes[0]);
+  }
+}
+
+}  // namespace
+
+std::vector<DiameterPair> Algorithm1Context::find_pairs(
+    std::span<const VertexId> starts, const LaneScratch& lanes) const {
+  FHP_REQUIRE(!degenerate_, "degenerate instance: use run_degenerate()");
+  FHP_REQUIRE(g_.num_vertices() >= 2,
+              "a pseudo-diameter pair needs at least two G-vertices");
+  FHP_REQUIRE(options_.bfs_sweeps >= 1, "need at least one BFS sweep");
+  for (VertexId start : starts) {
+    FHP_REQUIRE(start < g_.num_vertices(), "start vertex out of range");
+  }
+  std::vector<DiameterPair> pairs(starts.size());
+  for_each_on_lanes(pool_, starts.size(), lanes,
+                    [&](std::size_t i, StartScratch& scratch) {
+                      FHP_HIST_SCOPE_US("alg1/pair_find_us");
+                      pairs[i] = first_sweep(starts[i], scratch.ws);
+                    });
+  if (options_.bfs_sweeps == 1) return pairs;
+
+  // Distinct first-sweep endpoints, in start order; the remaining sweeps
+  // run once per endpoint and every start that reached it shares them.
+  std::vector<std::size_t> slot(starts.size());
+  std::vector<VertexId> endpoints;
+  std::unordered_map<VertexId, std::size_t> slot_of;
+  slot_of.reserve(starts.size());
+  for (std::size_t i = 0; i < starts.size(); ++i) {
+    const auto [it, inserted] =
+        slot_of.try_emplace(pairs[i].t, endpoints.size());
+    if (inserted) endpoints.push_back(pairs[i].t);
+    slot[i] = it->second;
+  }
+  FHP_COUNTER_ADD("algorithm1/endpoint_memo_hits",
+                  static_cast<long long>(starts.size() - endpoints.size()));
+  std::vector<DiameterPair> continued(endpoints.size());
+  for_each_on_lanes(pool_, endpoints.size(), lanes,
+                    [&](std::size_t i, StartScratch& scratch) {
+                      FHP_HIST_SCOPE_US("alg1/pair_find_us");
+                      continued[i] = continue_sweeps(endpoints[i], scratch.ws);
+                    });
+  for (std::size_t i = 0; i < starts.size(); ++i) {
+    pairs[i] = continued[slot[i]];
+  }
+  return pairs;
 }
 
 Algorithm1Result Algorithm1Context::run_from_pair(const DiameterPair& pair,
@@ -580,20 +856,10 @@ Algorithm1Result Algorithm1Context::complete_from_cut_impl(
   return result;
 }
 
-namespace {
-
-/// Body of algorithm1(); split out so the caller can snapshot the tracer
-/// after the root span has closed (an open span has no completed total).
-Algorithm1Result algorithm1_impl(const Hypergraph& h,
-                                 const Algorithm1Options& options) {
-  const Algorithm1Context context(h, options);
-  if (context.is_degenerate()) {
-    Algorithm1Result result = context.run_degenerate();
-    result.starts_run = 1;
-    return result;
-  }
-
-  const VertexId n = context.intersection().num_vertices();
+Algorithm1Result Algorithm1Context::run_starts() const {
+  FHP_REQUIRE(!degenerate_, "degenerate instance: use run_degenerate()");
+  const Algorithm1Options& options = options_;
+  const VertexId n = g_.num_vertices();
   Rng rng(options.seed);
   // Starts are a prefix of one seeded permutation, so that examining more
   // starts under the same seed can only extend — never replace — the set
@@ -607,38 +873,24 @@ Algorithm1Result algorithm1_impl(const Hypergraph& h,
 
   Algorithm1Result best;
   bool have_best = false;
-  ThreadPool* pool = context.pool();
+  ThreadPool* pool = pool_;
   const bool parallel =
       pool != nullptr && pool->thread_count() > 1 && starts.size() > 1;
 
   // One scratch bundle per execution lane (worker lanes 1..N-1 plus the
   // region caller as lane 0): the steady-state start loop then reuses warm
-  // buffers instead of allocating per start. Workspace is intentionally
-  // non-movable, hence the indirection.
-  const std::size_t lanes =
-      static_cast<std::size_t>(pool != nullptr ? pool->thread_count() : 1);
-  std::vector<std::unique_ptr<Algorithm1Context::StartScratch>> scratch;
-  scratch.reserve(lanes);
-  for (std::size_t i = 0; i < lanes; ++i) {
-    scratch.push_back(std::make_unique<Algorithm1Context::StartScratch>());
-  }
-  // current_lane() is only a valid index into `scratch` INSIDE a region
-  // of this call's own pool (where the caller is normalized to 0 and
-  // workers are 1..N-1). On the serial paths the executing thread may be
-  // a worker of an *outer* pool — e.g. the serving layer batching
-  // independent partition calls across its lanes — whose lane id has
-  // nothing to do with this scratch vector, so serial call sites must
-  // index lane 0 explicitly.
-  auto lane_scratch = [&]() -> Algorithm1Context::StartScratch& {
-    return *scratch[static_cast<std::size_t>(ThreadPool::current_lane())];
-  };
+  // buffers instead of allocating per start. Serial call sites index lane
+  // 0 explicitly (see for_each_on_lanes).
+  const LaneScratch scratch = make_lane_scratch();
 
   if (options.memoize_starts && n >= 2) {
     // Memoized multi-start: distinct random starts frequently converge to
     // the same pseudo-diameter pair after the BFS sweeps, and everything
     // downstream of the pair is a pure function of it. Four phases keep
     // the run bit-identical to the unmemoized loop at any lane count:
-    //   1. find every start's endpoint pair (parallel);
+    //   1. find every start's endpoint pair (find_pairs: first sweeps in
+    //      parallel, then the remaining sweeps once per distinct
+    //      first-sweep endpoint);
     //   2. dedup pairs by ORDERED (s, t) key, serially — the bidirectional
     //      cut's tie-breaking is orientation-sensitive, so (s, t) and
     //      (t, s) stay distinct keys;
@@ -646,24 +898,10 @@ Algorithm1Result algorithm1_impl(const Hypergraph& h,
     //   4. reduce in start order, hits referencing their owner's result —
     //      with the strict better() this elects exactly the candidate the
     //      unmemoized loop would.
-    std::vector<DiameterPair> pairs(starts.size());
-    auto find_range = [&](std::size_t begin, std::size_t end,
-                          Algorithm1Context::StartScratch& s) {
-      for (std::size_t i = begin; i < end; ++i) {
-        FHP_COUNTER_ADD("alg1/starts_examined", 1);
-        FHP_HIST_SCOPE_US("alg1/pair_find_us");
-        pairs[i] = context.find_pair(starts[i], s.ws);
-      }
-    };
-    if (parallel) {
-      FHP_COUNTER_ADD("alg1/parallel_start_batches", 1);
-      pool->parallel_for(starts.size(), 1,
-                         [&](std::size_t begin, std::size_t end) {
-                           find_range(begin, end, lane_scratch());
-                         });
-    } else {
-      find_range(0, starts.size(), *scratch[0]);
-    }
+    FHP_COUNTER_ADD("alg1/starts_examined",
+                    static_cast<long long>(starts.size()));
+    if (parallel) FHP_COUNTER_ADD("alg1/parallel_start_batches", 1);
+    const std::vector<DiameterPair> pairs = find_pairs(starts, scratch);
 
     std::vector<std::size_t> owner(starts.size());
     std::unordered_map<std::uint64_t, std::size_t> first_of;
@@ -687,23 +925,15 @@ Algorithm1Result algorithm1_impl(const Hypergraph& h,
       if (owner[i] == i) owners.push_back(i);
     }
     std::vector<Algorithm1Result> completed(starts.size());
-    auto complete_range = [&](std::size_t begin, std::size_t end,
-                              Algorithm1Context::StartScratch& s) {
-      for (std::size_t i = begin; i < end; ++i) {
-        // Same histogram as the unmemoized per-start path: a memo run's
-        // "starts" are the unique pairs it actually completes.
-        FHP_HIST_SCOPE_US("alg1/start_latency_us");
-        completed[owners[i]] = context.run_from_pair(pairs[owners[i]], s);
-      }
-    };
-    if (parallel && owners.size() > 1) {
-      pool->parallel_for(owners.size(), 1,
-                         [&](std::size_t begin, std::size_t end) {
-                           complete_range(begin, end, lane_scratch());
-                         });
-    } else {
-      complete_range(0, owners.size(), *scratch[0]);
-    }
+    for_each_on_lanes(pool, owners.size(), scratch,
+                      [&](std::size_t i, StartScratch& s) {
+                        // Same histogram as the unmemoized per-start path:
+                        // a memo run's "starts" are the unique pairs it
+                        // actually completes.
+                        FHP_HIST_SCOPE_US("alg1/start_latency_us");
+                        completed[owners[i]] =
+                            run_from_pair(pairs[owners[i]], s);
+                      });
 
     for (std::size_t i = 0; i < starts.size(); ++i) {
       const Algorithm1Result& candidate = completed[owner[i]];
@@ -720,7 +950,9 @@ Algorithm1Result algorithm1_impl(const Hypergraph& h,
     FHP_COUNTER_ADD("alg1/parallel_start_batches", 1);
     std::vector<Algorithm1Result> candidates =
         pool->parallel_map<Algorithm1Result>(starts.size(), [&](std::size_t i) {
-          return context.run_single(starts[i], lane_scratch());
+          return run_single(
+              starts[i],
+              *scratch[static_cast<std::size_t>(ThreadPool::current_lane())]);
         });
     for (Algorithm1Result& candidate : candidates) {
       if (!have_best || better(candidate, best, options.objective)) {
@@ -730,7 +962,7 @@ Algorithm1Result algorithm1_impl(const Hypergraph& h,
     }
   } else {
     for (VertexId start : starts) {
-      Algorithm1Result candidate = context.run_single(start, *scratch[0]);
+      Algorithm1Result candidate = run_single(start, *scratch[0]);
       if (!have_best || better(candidate, best, options.objective)) {
         best = std::move(candidate);
         have_best = true;
@@ -757,7 +989,7 @@ Algorithm1Result algorithm1_impl(const Hypergraph& h,
   // connected G. It can be arbitrarily unbalanced, so it only competes
   // when explicitly requested.
   if (options.consider_floating_split) {
-    Algorithm1Result floating = context.run_floating_split();
+    Algorithm1Result floating = run_floating_split();
     if (floating.metrics.proper &&
         better(floating, best, options.objective)) {
       best = std::move(floating);
@@ -766,6 +998,21 @@ Algorithm1Result algorithm1_impl(const Hypergraph& h,
 
   best.starts_run = static_cast<int>(starts.size());
   return best;
+}
+
+namespace {
+
+/// Body of algorithm1(); split out so the caller can snapshot the tracer
+/// after the root span has closed (an open span has no completed total).
+Algorithm1Result algorithm1_impl(const Hypergraph& h,
+                                 const Algorithm1Options& options) {
+  const Algorithm1Context context(h, options);
+  if (context.is_degenerate()) {
+    Algorithm1Result result = context.run_degenerate();
+    result.starts_run = 1;
+    return result;
+  }
+  return context.run_starts();
 }
 
 }  // namespace

@@ -207,14 +207,52 @@ class Algorithm1Context {
   /// intersection().num_vertices() >= 2.
   [[nodiscard]] DiameterPair find_pair(VertexId start, Workspace& ws) const;
 
+  /// One scratch bundle per execution lane of pool() (one when serial).
+  using LaneScratch = std::vector<std::unique_ptr<StartScratch>>;
+  [[nodiscard]] LaneScratch make_lane_scratch() const;
+
+  /// find_pair() for every start, in two phases on pool(): the first BFS
+  /// sweep of every start, then the remaining sweeps once per distinct
+  /// first-sweep endpoint (they are a pure function of it, see
+  /// continue_sweeps()). Equal, element by element, to calling find_pair()
+  /// per start, at any lane count. \p lanes comes from make_lane_scratch().
+  [[nodiscard]] std::vector<DiameterPair> find_pairs(
+      std::span<const VertexId> starts, const LaneScratch& lanes) const;
+
   /// Steps 3-7 for an endpoint pair produced by find_pair(): initial cut,
   /// boundary, completion, assembly, scoring.
   [[nodiscard]] Algorithm1Result run_from_pair(const DiameterPair& pair,
                                                StartScratch& scratch) const;
 
+  /// The configured multi-start (options.num_starts starts from one seeded
+  /// permutation, memoized or not, best result in start order, plus the
+  /// optional floating split). Precondition: !is_degenerate().
+  [[nodiscard]] Algorithm1Result run_starts() const;
+
   /// Handles the degenerate cases (no usable nets, or disconnected G):
-  /// packs connected blocks onto two sides by weight.
+  /// packs connected blocks onto two sides by weight. A block that holds
+  /// most of the weight is first bisected by run_starts() on its slice()
+  /// (see docs/algorithm.md, "Disconnected G").
   [[nodiscard]] Algorithm1Result run_degenerate() const;
+
+  /// The sub-instance of one connected component of G, cut from this
+  /// context's own structures: exactly what Algorithm I would build from
+  /// scratch on the sub-hypergraph induced by the component's modules.
+  struct BlockSlice {
+    /// induced_subhypergraph(original(), block modules).hypergraph
+    Hypergraph block;
+    /// The large-net filter applied to `block`.
+    Hypergraph filtered;
+    /// intersection_graph(filtered): the component's rows of
+    /// intersection(), plus rows for any net over the threshold whose
+    /// restriction to the block falls to 2..threshold pins.
+    Graph g;
+    /// block module -> module of original() (ascending).
+    std::vector<VertexId> kept_vertices;
+  };
+  /// Slices G-component \p component (a label of the components of
+  /// intersection()).
+  [[nodiscard]] BlockSlice slice(VertexId component) const;
 
   /// Candidate that separates modules on no surviving net from the rest
   /// (cuts no filtered net at all). Returns an improper (rejectable)
@@ -230,7 +268,7 @@ class Algorithm1Context {
 
   /// The context's thread pool, or null when the configuration is serial
   /// (Algorithm1Options::threads resolved to 1).
-  [[nodiscard]] ThreadPool* pool() const noexcept { return pool_.get(); }
+  [[nodiscard]] ThreadPool* pool() const noexcept { return pool_; }
 
   /// Deterministic per-start generator: the fork(start_index) child of a
   /// master seeded from options.seed. The contract (see Rng::fork): equal
@@ -244,6 +282,18 @@ class Algorithm1Context {
   }
 
  private:
+  /// Context over a block slice: no filter, build or components pass (the
+  /// slice is connected by construction), starts run on \p pool.
+  Algorithm1Context(const Hypergraph& block, Hypergraph filtered, Graph g,
+                    ThreadPool* pool, const Algorithm1Options& options);
+
+  /// Locality permutation for the BFS-heavy steps (reorder option).
+  void prepare_traversal();
+
+  /// Step 1 split at the first sweep's endpoint v (see find_pairs()).
+  [[nodiscard]] DiameterPair first_sweep(VertexId start, Workspace& ws) const;
+  [[nodiscard]] DiameterPair continue_sweeps(VertexId v, Workspace& ws) const;
+
   /// Steps 3-5 body shared by complete_from_cut() and run_from_pair():
   /// boundary extraction, completion, and assembly on \p scratch.
   [[nodiscard]] Algorithm1Result complete_from_cut_impl(
@@ -251,7 +301,8 @@ class Algorithm1Context {
 
   const Hypergraph* h_;
   Algorithm1Options options_;
-  std::unique_ptr<ThreadPool> pool_;
+  std::unique_ptr<ThreadPool> owned_pool_;
+  ThreadPool* pool_ = nullptr;  ///< owned_pool_, or a parent's pool
   Hypergraph filtered_;
   Graph g_;
   Permutation perm_;   ///< locality relabeling of g_ (when reordered_)

@@ -155,23 +155,34 @@ BfsSummary bfs_scan(const Graph& g, VertexId source, Workspace& ws,
   return result;
 }
 
-DiameterPair longest_path_from(const Graph& g, VertexId start, int sweeps,
-                               Workspace& ws, const BfsKernelOptions& kernel) {
+DiameterPair first_sweep(const Graph& g, VertexId start, Workspace& ws,
+                         const BfsKernelOptions& kernel) {
   FHP_TRACE_SCOPE("diameter");
-  FHP_REQUIRE(sweeps >= 1, "need at least one BFS sweep");
+  const BfsSummary r = bfs_scan(g, start, ws, kernel);
+  return {start, r.farthest, r.depth};
+}
+
+DiameterPair continue_sweeps(const Graph& g, VertexId v, int sweeps,
+                             Workspace& ws, const BfsKernelOptions& kernel) {
+  FHP_TRACE_SCOPE("diameter");
+  FHP_REQUIRE(sweeps >= 2, "continue_sweeps runs sweeps 2..k");
   DiameterPair pair;
-  BfsSummary r = bfs_scan(g, start, ws, kernel);
-  pair.s = start;
-  pair.t = r.farthest;
-  pair.distance = r.depth;
+  pair.t = v;
   for (int sweep = 1; sweep < sweeps; ++sweep) {
-    r = bfs_scan(g, pair.t, ws, kernel);
+    const BfsSummary r = bfs_scan(g, pair.t, ws, kernel);
     if (r.depth <= pair.distance && sweep > 1) break;  // converged
     pair.s = pair.t;
     pair.t = r.farthest;
     pair.distance = r.depth;
   }
   return pair;
+}
+
+DiameterPair longest_path_from(const Graph& g, VertexId start, int sweeps,
+                               Workspace& ws, const BfsKernelOptions& kernel) {
+  FHP_REQUIRE(sweeps >= 1, "need at least one BFS sweep");
+  const DiameterPair first = first_sweep(g, start, ws, kernel);
+  return sweeps == 1 ? first : continue_sweeps(g, first.t, sweeps, ws, kernel);
 }
 
 DiameterPair longest_path_from(const Graph& g, VertexId start, int sweeps) {

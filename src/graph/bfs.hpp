@@ -119,10 +119,28 @@ struct DiameterPair {
 
 /// Workspace-backed longest_path_from: same sweeps, same result, but every
 /// BFS runs through bfs_scan() on \p ws (zero allocations once warm).
+/// Composed of first_sweep() and, for sweeps >= 2, continue_sweeps().
 [[nodiscard]] DiameterPair longest_path_from(const Graph& g, VertexId start,
                                              int sweeps, Workspace& ws,
                                              const BfsKernelOptions& kernel =
                                                  {});
+
+/// The first sweep of longest_path_from: one BFS from \p start, returning
+/// (start, v, d(start, v)) for its farthest vertex v. This is the whole
+/// pair when sweeps == 1.
+[[nodiscard]] DiameterPair first_sweep(const Graph& g, VertexId start,
+                                       Workspace& ws,
+                                       const BfsKernelOptions& kernel = {});
+
+/// Sweeps 2..\p sweeps of longest_path_from, given the first sweep's
+/// farthest vertex \p v (precondition: sweeps >= 2). Everything after the
+/// first BFS — including the convergence break — depends on v alone, so
+/// longest_path_from(g, start, k) == continue_sweeps(g, first_sweep(g,
+/// start).t, k) for every start that reaches v: multi-start drivers run
+/// this once per distinct v.
+[[nodiscard]] DiameterPair continue_sweeps(const Graph& g, VertexId v,
+                                           int sweeps, Workspace& ws,
+                                           const BfsKernelOptions& kernel = {});
 
 /// Result of growing BFS regions from two seeds simultaneously.
 struct BidirectionalCut {

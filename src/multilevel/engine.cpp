@@ -112,9 +112,10 @@ EngineResult partition_auto(const Hypergraph& h, const PartitionPlan& plan) {
       FHP_HIST_SCOPE_US("alg1/flow_refine_us");
       const std::unique_ptr<Refiner> post =
           make_refiner(plan.refiner, plan.refine, plan.flow_refine);
-      if (post->refine(h, result.sides, plan.algorithm1.seed) > 0) {
-        result.metrics = compute_metrics(Bipartition(h, result.sides));
-      }
+      // Re-score even at zero gain: a rebalancing move changes the side
+      // weights without changing the cut.
+      static_cast<void>(post->refine(h, result.sides, plan.algorithm1.seed));
+      result.metrics = compute_metrics(Bipartition(h, result.sides));
     }
     return result;
   }

@@ -2,6 +2,9 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdint>
+#include <limits>
+
 #include "baselines/random_cut.hpp"
 #include "gen/circuit.hpp"
 #include "test_helpers.hpp"
@@ -131,6 +134,19 @@ TEST(Fm, ReportsPassCount) {
   const BaselineResult r = fiduccia_mattheyses(h);
   EXPECT_GE(r.iterations, 1);
   EXPECT_LE(r.iterations, 32);
+}
+
+TEST(Fm, MoveBudgetIsTwoMovesPerModulePerPass) {
+  EXPECT_EQ(fm_move_budget(32, 1000), 64'000);
+  EXPECT_EQ(fm_move_budget(1, 2), 4);
+}
+
+TEST(Fm, MoveBudgetDoesNotOverflowAtScale) {
+  // 32 passes x 40M modules x 2 = 2.56e9 moves, past INT_MAX: an int
+  // budget overflows there.
+  const std::int64_t budget = fm_move_budget(32, 40'000'000);
+  EXPECT_EQ(budget, std::int64_t{2'560'000'000});
+  EXPECT_GT(budget, std::int64_t{std::numeric_limits<int>::max()});
 }
 
 }  // namespace

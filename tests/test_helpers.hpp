@@ -5,9 +5,14 @@
 /// tests.
 #pragma once
 
+#include <unistd.h>
+
 #include <algorithm>
+#include <atomic>
 #include <cstdint>
+#include <filesystem>
 #include <limits>
+#include <string>
 #include <utility>
 #include <vector>
 
@@ -17,6 +22,20 @@
 #include "util/rng.hpp"
 
 namespace fhp::test {
+
+/// A temp-root path no other test case can be using: \p stem plus this
+/// process's pid and a per-process counter. ctest runs every case as its
+/// own process, in parallel under -j, so a fixed name would let one case's
+/// TearDown delete another's files.
+inline std::filesystem::path unique_temp_path(const std::string& stem) {
+  static std::atomic<int> counter{0};
+  std::string name = stem;
+  name += '_';
+  name += std::to_string(::getpid());
+  name += '_';
+  name += std::to_string(counter.fetch_add(1));
+  return std::filesystem::temp_directory_path() / name;
+}
 
 /// Chain netlist: modules 0..n-1, nets {i, i+1}. Its intersection graph is
 /// a path of n-1 vertices.

@@ -109,7 +109,7 @@ TEST(IoDifferential, BookshelfAgreesOnWriterRoundTrip) {
 class ShardedRoundTrip : public ::testing::Test {
  protected:
   void SetUp() override {
-    dir_ = std::filesystem::temp_directory_path() / "fhp_test_sharded";
+    dir_ = test::unique_temp_path("fhp_test_sharded");
     std::filesystem::create_directories(dir_);
     params_ = gate_array_params(1.0);
     params_.num_modules = 3000;

@@ -24,6 +24,7 @@
 #include "multilevel/refine.hpp"
 #include "test_helpers.hpp"
 #include "util/parallel.hpp"
+#include "validate/audit.hpp"
 
 namespace fhp {
 namespace {
@@ -373,6 +374,24 @@ TEST(PartitionAuto, ExplicitEngineChoiceOverridesSize) {
   forced_flat.multilevel_threshold = 1;  // would route to multilevel on auto
   EXPECT_EQ(ml::partition_auto(h, forced_flat).engine_used,
             ml::EngineChoice::kFlat);
+}
+
+TEST(PartitionAuto, FlatPostPassMetricsMatchSidesAtZeroGain) {
+  // On this instance the flat path's flow+fm post-pass rebalances without
+  // changing the cut: metrics re-scored only on a positive gain kept the
+  // pre-pass side weights and imbalances.
+  const Hypergraph h = generate_circuit(standard_cell_params(0.1), 2);
+  ml::PartitionPlan plan;
+  plan.engine = ml::EngineChoice::kFlat;
+  plan.refiner = ml::RefinerChoice::kFlowFm;
+  plan.algorithm1.threads = 1;
+  const Algorithm1Result flat = algorithm1(h, plan.algorithm1);
+  const ml::EngineResult r = ml::partition_auto(h, plan);
+  ASSERT_NE(r.sides, flat.sides);
+  EXPECT_EQ(r.metrics.cut_weight, flat.metrics.cut_weight);
+  const validate::AuditReport report =
+      validate::audit_metrics(h, r.sides, r.metrics);
+  EXPECT_TRUE(report.ok()) << report.to_string();
 }
 
 TEST(PartitionAuto, EngineNamesAreStable) {
