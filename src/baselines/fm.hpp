@@ -6,7 +6,8 @@
 /// partition, repeatedly move the highest-gain unlocked module whose move
 /// keeps the partition within the balance tolerance, lock it, update
 /// neighbor gains; at the end of the pass roll back to the best prefix.
-/// Passes repeat until one fails to improve the cut.
+/// Passes repeat until one fails to improve the cut. Gains and move
+/// selection come from the shared gain engine (partition/gain_engine.hpp).
 #pragma once
 
 #include <cstdint>

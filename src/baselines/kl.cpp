@@ -4,28 +4,15 @@
 
 #include "obs/counters.hpp"
 #include "obs/trace.hpp"
+#include "partition/gain_engine.hpp"
 #include "partition/partition.hpp"
 
 namespace fhp {
 
 namespace {
 
-/// Single-module move gain under the hyperedge cut model (identical to the
-/// FM cell gain; KL uses it per side when choosing swap halves).
-Weight move_gain(const Bipartition& p, VertexId v) {
-  const Hypergraph& h = p.hypergraph();
-  const std::uint8_t s = p.side(v);
-  Weight gain = 0;
-  for (EdgeId e : h.nets_of(v)) {
-    if (p.pins_on_side(e, s) == 1) gain += h.edge_weight(e);
-    if (p.pins_on_side(e, static_cast<std::uint8_t>(1 - s)) == 0) {
-      gain -= h.edge_weight(e);
-    }
-  }
-  return gain;
-}
-
-/// Best unlocked vertex on side \p s by move gain; kInvalidVertex if none.
+/// Best unlocked vertex on side \p s by cell gain; kInvalidVertex if none.
+/// A full scan per pick: the classic KL cost the Table 2 comparison cites.
 VertexId best_on_side(const Bipartition& p,
                       const std::vector<std::uint8_t>& locked,
                       std::uint8_t s) {
@@ -33,7 +20,7 @@ VertexId best_on_side(const Bipartition& p,
   Weight best_gain = 0;
   for (VertexId v = 0; v < p.hypergraph().num_vertices(); ++v) {
     if (locked[v] || p.side(v) != s) continue;
-    const Weight g = move_gain(p, v);
+    const Weight g = cell_gain(p, v);
     if (best == kInvalidVertex || g > best_gain) {
       best = v;
       best_gain = g;

@@ -1,33 +1,15 @@
 #include "core/recursive.hpp"
 
 #include <algorithm>
-#include <queue>
+#include <cmath>
 #include <utility>
 
 #include "hypergraph/transform.hpp"
+#include "partition/gain_engine.hpp"
 #include "partition/partition.hpp"
 #include "util/rng.hpp"
 
 namespace fhp {
-
-namespace {
-
-/// Cut-weight change of moving \p v to the other side (the classic cell
-/// gain; positive = moving uncuts more weight than it cuts).
-Weight move_gain(const Bipartition& p, VertexId v) {
-  const Hypergraph& h = p.hypergraph();
-  const std::uint8_t s = p.side(v);
-  Weight gain = 0;
-  for (EdgeId e : h.nets_of(v)) {
-    if (p.pins_on_side(e, s) == 1) gain += h.edge_weight(e);
-    if (p.pins_on_side(e, static_cast<std::uint8_t>(1 - s)) == 0) {
-      gain -= h.edge_weight(e);
-    }
-  }
-  return gain;
-}
-
-}  // namespace
 
 void rebalance_bipartition(Bipartition& p, double target_frac0,
                            double tolerance) {
@@ -41,74 +23,20 @@ void rebalance_bipartition(Bipartition& p, double target_frac0,
   double dev0 = static_cast<double>(p.weight(0)) - target0;
   if (std::abs(dev0) <= tol_abs) return;
 
-  // Gains for every module, one O(pins) sweep up front and kept current
-  // incrementally: a flip only changes the gains of modules sharing a
-  // net with the flipped one, so per-move work is O(deg · log n) instead
-  // of the full-rescan O(n · pins) the legacy loop paid.
-  std::vector<Weight> gain(n);
-  for (VertexId v = 0; v < n; ++v) gain[v] = move_gain(p, v);
-
-  // Per-side lazy max-heaps of (gain, id) snapshots. A popped snapshot is
-  // live only if the module is still on that side with that gain;
-  // anything else was superseded by a later push. Ordering reproduces the
-  // legacy scan exactly: highest gain wins, lowest id on ties.
-  using Entry = std::pair<Weight, VertexId>;
-  struct EntryLess {
-    bool operator()(const Entry& a, const Entry& b) const noexcept {
-      if (a.first != b.first) return a.first < b.first;
-      return a.second > b.second;
-    }
-  };
-  using Heap = std::priority_queue<Entry, std::vector<Entry>, EntryLess>;
-  Heap heaps[2];
-  for (VertexId v = 0; v < n; ++v) heaps[p.side(v)].emplace(gain[v], v);
-
-  std::vector<VertexId> touched;
-  std::vector<std::uint8_t> touched_mark(n, 0);
+  // Nothing is ever locked: a moved module re-enters the tournament on
+  // its new side. Admissible moves off the heavy side are the modules
+  // lighter than 2·|dev0| (heavier ones would overshoot past the
+  // target): a prefix of the weight ranks.
+  GainEngine engine(p, GainTie::kLowerId);
+  engine.start({});
   for (VertexId guard = 0; guard < n && std::abs(dev0) > tol_abs; ++guard) {
     const std::uint8_t heavy = dev0 > 0 ? 0 : 1;
-    const double limit = 2.0 * std::abs(dev0);
-
-    VertexId best = kInvalidVertex;
-    Heap& heap = heaps[heavy];
-    while (!heap.empty()) {
-      const auto [g, v] = heap.top();
-      heap.pop();
-      if (p.side(v) != heavy || g != gain[v]) continue;  // stale snapshot
-      if (static_cast<double>(h.vertex_weight(v)) >= limit) {
-        // Would overshoot past the target. |dev0| never grows, so the
-        // limit only shrinks: inadmissible now means inadmissible for
-        // the rest of the run — dropping the snapshot is safe.
-        continue;
-      }
-      best = v;
-      break;
-    }
+    const RankRange admissible{
+        0, engine.ranks_lighter_than(2.0 * std::abs(dev0))};
+    const VertexId best = engine.best(heavy, admissible);
     if (best == kInvalidVertex) break;
-
-    p.flip(best);
+    engine.move(best, /*lock=*/false);
     dev0 = static_cast<double>(p.weight(0)) - target0;
-    gain[best] = move_gain(p, best);
-    heaps[1 - heavy].emplace(gain[best], best);
-
-    // Refresh the gains the flip invalidated: exactly the modules
-    // sharing a net with `best` (deduplicated via the scratch mark).
-    touched.clear();
-    for (EdgeId e : h.nets_of(best)) {
-      for (VertexId u : h.pins(e)) {
-        if (u == best || touched_mark[u]) continue;
-        touched_mark[u] = 1;
-        touched.push_back(u);
-      }
-    }
-    for (VertexId u : touched) {
-      touched_mark[u] = 0;
-      const Weight g = move_gain(p, u);
-      if (g != gain[u]) {
-        gain[u] = g;
-        heaps[p.side(u)].emplace(g, u);
-      }
-    }
   }
 }
 

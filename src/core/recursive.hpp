@@ -59,11 +59,12 @@ struct RecursiveOptions {
 /// Greedily moves best-gain modules from the overweight side of \p p
 /// until side 0's weight is within `tolerance * total` of
 /// `target_frac0 * total`. Every move never grows the deviation (and
-/// strictly shrinks it for positive-weight modules). Candidates are kept
-/// in per-side lazy max-heaps with incrementally maintained gains — one
-/// O(pins) gain sweep up front, then O(deg · log n) per move instead of
-/// the legacy full O(n · pins) rescan per move — selecting exactly the
-/// module the legacy scan did (highest gain, lowest id on ties).
+/// strictly shrinks it for positive-weight modules). Candidates come from
+/// the shared gain engine (partition/gain_engine.hpp): one O(pins) gain
+/// sweep up front, delta-gain updates per move, and a weight-ranked
+/// tournament queried over the admissible weight prefix — selecting
+/// exactly the module a full rescan would (highest gain, lowest id on
+/// ties).
 /// Used by the recursive driver, the corridor flow refiner's balance
 /// recovery, and the placement flow.
 void rebalance_bipartition(Bipartition& p, double target_frac0,

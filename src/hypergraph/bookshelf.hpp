@@ -13,7 +13,8 @@
 ///             offsets are accepted and ignored — partitioning only needs
 ///             connectivity).
 /// Comment lines start with '#'. Parsers throw fhp::IoError with precise
-/// messages on malformed input.
+/// messages on malformed input, and fhp::PreconditionError when the total
+/// node area overflows Weight.
 #pragma once
 
 #include <iosfwd>

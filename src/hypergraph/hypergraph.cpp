@@ -149,9 +149,28 @@ Hypergraph Hypergraph::from_csr(std::vector<std::size_t> edge_offsets,
   return h;
 }
 
+namespace {
+
+/// Sum of \p weights; throws PreconditionError if it leaves Weight's range
+/// (every consumer of the totals, e.g. FM's balance window, relies on
+/// side weights never exceeding them).
+Weight checked_total(const std::vector<Weight>& weights, const char* what) {
+  Weight total = 0;
+  for (const Weight w : weights) {
+    FHP_REQUIRE(!__builtin_add_overflow(total, w, &total), what);
+  }
+  return total;
+}
+
+}  // namespace
+
 void Hypergraph::finalize_from_edge_csr() {
   const VertexId nv = static_cast<VertexId>(vertex_weights_.size());
   const EdgeId ne = static_cast<EdgeId>(edge_weights_.size());
+  total_vertex_weight_ =
+      checked_total(vertex_weights_, "total module weight overflows Weight");
+  total_edge_weight_ =
+      checked_total(edge_weights_, "total net weight overflows Weight");
 
   // Build the inverse incidence (vertex -> nets) by counting sort, which
   // also leaves each vertex's net list sorted because edges are scanned in
@@ -168,10 +187,6 @@ void Hypergraph::finalize_from_edge_csr() {
     }
   }
 
-  total_vertex_weight_ = 0;
-  for (Weight w : vertex_weights_) total_vertex_weight_ += w;
-  total_edge_weight_ = 0;
-  for (Weight w : edge_weights_) total_edge_weight_ += w;
   max_edge_size_ = 0;
   for (EdgeId e = 0; e < ne; ++e) {
     max_edge_size_ = std::max(max_edge_size_, edge_size(e));

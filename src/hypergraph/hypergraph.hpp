@@ -39,7 +39,8 @@ class Hypergraph {
   /// The streaming parsers produce rows in exactly this form, skipping the
   /// per-edge vector staging of HypergraphBuilder entirely. The inverse
   /// incidence is derived here by counting sort. Row preconditions are
-  /// checked in debug builds only; size/shape preconditions always.
+  /// checked in debug builds only; size/shape preconditions always, and
+  /// so is the range of the weight totals (see total_vertex_weight()).
   [[nodiscard]] static Hypergraph from_csr(
       std::vector<std::size_t> edge_offsets, std::vector<VertexId> edge_pins,
       std::vector<Weight> vertex_weights, std::vector<Weight> edge_weights);
@@ -93,7 +94,9 @@ class Hypergraph {
     FHP_DEBUG_ASSERT(e < num_edges(), "edge id out of range");
     return edge_weights_[e];
   }
-  /// Sum of all module weights.
+  /// Sum of all module weights. Every construction path (builder,
+  /// from_csr, the parsers) throws PreconditionError when this or the net
+  /// weight total would overflow Weight.
   [[nodiscard]] Weight total_vertex_weight() const noexcept {
     return total_vertex_weight_;
   }
@@ -134,8 +137,9 @@ class Hypergraph {
  private:
   friend class HypergraphBuilder;
 
-  /// Derives the inverse incidence, weight totals and maxima from the edge
-  /// CSR + weight vectors already moved into place. Shared tail of
+  /// Derives the overflow-checked weight totals, the inverse incidence and
+  /// the maxima from the edge CSR + weight vectors already moved into
+  /// place. Shared tail of
   /// HypergraphBuilder::build() and from_csr().
   void finalize_from_edge_csr();
 

@@ -37,7 +37,8 @@ struct NamedNetlist {
   [[nodiscard]] EdgeId edge(const std::string& name) const;
 };
 
-/// Parses hMETIS format from a stream. Throws IoError on malformed input.
+/// Parses hMETIS format from a stream. Throws IoError on malformed input
+/// and PreconditionError when the weight totals overflow Weight.
 /// This is the legacy istream path, kept as the differential oracle for the
 /// zero-copy overload below; prefer read_hmetis_file / the string_view
 /// overload for anything performance-sensitive.

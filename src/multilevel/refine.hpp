@@ -8,6 +8,7 @@
 #pragma once
 
 #include <cstdint>
+#include <span>
 #include <vector>
 
 #include "hypergraph/hypergraph.hpp"
@@ -52,6 +53,14 @@ struct FmRefinerOptions {
   /// (docs/multilevel.md, bench_multilevel).
   VertexId full_fm_threshold = 1024;
 };
+
+/// Marks the cut frontier of \p sides free (0) and the interior fixed (1)
+/// in \p fixed: every pin of every cut net, expanded by one hop. The
+/// frontier pins are listed in \p frontier. Returns false when no net is
+/// cut. FmRefiner's boundary mode locks the interior with this mask.
+bool boundary_mask(const Hypergraph& h, std::span<const std::uint8_t> sides,
+                   std::vector<std::uint8_t>& fixed,
+                   std::vector<VertexId>& frontier);
 
 /// Fiduccia–Mattheyses per-level refinement (baselines/fm.hpp): seeds FM
 /// with the projected partition and keeps the result only when it is no

@@ -1,6 +1,7 @@
 #include "validate/fuzz.hpp"
 
 #include <algorithm>
+#include <memory>
 #include <sstream>
 #include <string>
 #include <vector>
@@ -13,6 +14,7 @@
 #include "gen/random_hypergraph.hpp"
 #include "gen/structured.hpp"
 #include "hypergraph/io.hpp"
+#include "multilevel/engine.hpp"
 #include "multilevel/flow_refine.hpp"
 #include "partition/partition.hpp"
 #include "util/rng.hpp"
@@ -151,6 +153,40 @@ std::string mutate_text(std::string text, Rng& rng) {
   return text;
 }
 
+/// Fork stream id of the engine leg. Forking leaves the instance's own
+/// stream untouched, so the other legs draw the same numbers as before.
+constexpr std::uint64_t kEngineStream = 0xe9;
+
+/// Decorator holding each level's refinement to the Refiner contract.
+class CheckedRefiner final : public ml::Refiner {
+ public:
+  explicit CheckedRefiner(ml::Refiner& inner) : inner_(inner) {}
+
+  [[nodiscard]] Weight refine(const Hypergraph& h,
+                              std::vector<std::uint8_t>& sides,
+                              std::uint64_t seed) override {
+    const Weight before = Bipartition(h, sides).cut_weight();
+    const Weight gain = inner_.refine(h, sides, seed);
+    const Weight after = Bipartition(h, sides).cut_weight();
+    if (violation.empty() && (after > before || gain != before - after)) {
+      std::ostringstream os;
+      os << "level with " << h.num_vertices() << " modules: before "
+         << before << ", after " << after << ", claimed improvement "
+         << gain;
+      violation = os.str();
+    }
+    return gain;
+  }
+  [[nodiscard]] const char* name() const noexcept override {
+    return inner_.name();
+  }
+
+  std::string violation;  ///< first broken level, empty when none
+
+ private:
+  ml::Refiner& inner_;
+};
+
 /// Shared state of one run.
 struct Harness {
   const FuzzOptions& options;
@@ -180,6 +216,7 @@ struct Harness {
       }
       ++stats.partitioned;
       flow_refine_checks(h, result.sides, rng);
+      engine_checks(h, rng.fork(kEngineStream));
     } catch (const std::exception& ex) {
       fail(std::string("algorithm1 raised on a well-formed instance: ") +
            ex.what());
@@ -217,6 +254,61 @@ struct Harness {
       ++stats.flow_refined;
     } catch (const std::exception& ex) {
       fail(std::string("flow refiner raised on a well-formed instance: ") +
+           ex.what());
+    }
+  }
+
+  /// The default engine path: partition_auto forced onto the multilevel
+  /// V-cycle with flow+fm refinement. The result must audit clean and
+  /// report the cut of its own sides. The same V-cycle is replayed with
+  /// a checking decorator around the refiner, which holds every level to
+  /// the refiner contract (the cut never rises, the reported gain is the
+  /// cut delta) and must reproduce partition_auto's sides.
+  void engine_checks(const Hypergraph& h, Rng rng) {
+    ml::PartitionPlan plan;
+    plan.engine = ml::EngineChoice::kMultilevel;
+    plan.refiner = ml::RefinerChoice::kFlowFm;
+    plan.algorithm1.num_starts = options.algorithm_starts;
+    plan.algorithm1.threads = 1;
+    plan.algorithm1.seed = rng();
+    try {
+      const ml::EngineResult result = ml::partition_auto(h, plan);
+      const AuditReport report = audit_partition(h, result.sides);
+      if (!report.ok()) {
+        fail("partition_auto result failed audit: " + report.to_string());
+        return;
+      }
+      const Weight cut = Bipartition(h, result.sides).cut_weight();
+      if (result.metrics.cut_weight != cut) {
+        std::ostringstream os;
+        os << "partition_auto reported cut " << result.metrics.cut_weight
+           << " but its sides cut " << cut;
+        fail(os.str());
+        return;
+      }
+
+      ml::EngineOptions engine;
+      engine.initial = plan.algorithm1;
+      engine.initial.num_starts = plan.coarse_num_starts;
+      engine.seed = plan.algorithm1.seed;
+      engine.threads = 1;
+      const std::unique_ptr<ml::Refiner> inner =
+          ml::make_refiner(plan.refiner, plan.refine, plan.flow_refine);
+      CheckedRefiner checked(*inner);
+      const ml::MultilevelResult replay =
+          ml::multilevel_partition(h, engine, checked);
+      if (!checked.violation.empty()) {
+        fail("multilevel refiner broke its cut contract: " +
+             checked.violation);
+        return;
+      }
+      if (replay.sides != result.sides) {
+        fail("partition_auto differs from its multilevel V-cycle replay");
+        return;
+      }
+      ++stats.engine_partitioned;
+    } catch (const std::exception& ex) {
+      fail(std::string("partition_auto raised on a well-formed instance: ") +
            ex.what());
     }
   }
@@ -411,7 +503,8 @@ std::string FuzzStats::to_string() const {
   std::ostringstream os;
   os << instances << " instances, " << mutated << " mutated, " << parsed
      << " parsed, " << rejected << " rejected, " << partitioned
-     << " partitioned, " << flow_refined << " flow-refined, " << round_trips
+     << " partitioned, " << flow_refined << " flow-refined, "
+     << engine_partitioned << " engine-partitioned, " << round_trips
      << " round-trips, " << failures.size() << " failures";
   for (const FuzzFailure& f : failures) {
     os << "\n  [" << f.generator << " #" << f.instance << "] " << f.what;

@@ -13,7 +13,11 @@
 ///     Algorithm I, whose output is audited (audit_algorithm1: legality,
 ///     recomputed-cut cross-check, completion dominance) and whose
 ///     intersection graph is differentially checked against the
-///     intersection_graph_reference() oracle.
+///     intersection_graph_reference() oracle. The audited partition then
+///     runs through the corridor flow refiner, and the instance through
+///     partition_auto on the multilevel path with flow+fm refinement:
+///     the result must audit clean, report the cut of its sides, and no
+///     level's refinement may raise the cut.
 ///  2. **named netlist text**: the same serialize/mutate/parse/audit loop
 ///     through write_netlist/read_netlist, with a fixed-point check
 ///     (write . read idempotent) instead of byte equality — the named
@@ -70,6 +74,7 @@ struct FuzzStats {
   std::size_t rejected = 0;     ///< typed IoError rejections (expected)
   std::size_t partitioned = 0;  ///< instances driven through Algorithm I
   std::size_t flow_refined = 0;  ///< partitions driven through FlowRefiner
+  std::size_t engine_partitioned = 0;  ///< instances through partition_auto
   std::size_t round_trips = 0;  ///< byte-identical / fixed-point re-reads
   std::vector<FuzzFailure> failures;
 

@@ -251,13 +251,14 @@ TEST(SolveCorridor, CapacityOverflowFailsTyped) {
                  PreconditionError);
   }
   // And the refiner propagates the typed failure instead of adopting a
-  // silently-wrong candidate.
+  // silently-wrong candidate. The net weights still total below
+  // Weight's maximum (a larger total fails at build time instead).
   {
     HypergraphBuilder b;
     b.add_vertices(6);
     b.add_edge({0, 1});
-    b.add_edge({1, 2}, kHalf);
-    b.add_edge({2, 3}, kHalf);
+    b.add_edge({1, 2}, kHalf - 1);
+    b.add_edge({2, 3}, kHalf - 1);
     b.add_edge({4, 5});
     const Hypergraph h = std::move(b).build();
     std::vector<std::uint8_t> sides = {0, 0, 1, 1, 0, 1};

@@ -17,6 +17,8 @@ TEST(Fuzz, SmokeRunFindsNoViolations) {
             25U * validate::fuzz_generator_names().size());
   EXPECT_GT(stats.parsed, 0U);
   EXPECT_GT(stats.partitioned, 0U);
+  // Every partitioned instance also runs the default engine path.
+  EXPECT_EQ(stats.engine_partitioned, stats.partitioned);
   EXPECT_GT(stats.round_trips, 0U);
   // Mutations must actually exercise the rejection paths.
   EXPECT_GT(stats.mutated, 0U);

@@ -2,7 +2,14 @@
 
 #include <gtest/gtest.h>
 
+#include <limits>
+#include <sstream>
+#include <string>
+#include <string_view>
 #include <vector>
+
+#include "hypergraph/bookshelf.hpp"
+#include "hypergraph/io.hpp"
 
 #include "test_helpers.hpp"
 
@@ -114,6 +121,60 @@ TEST(HypergraphBuilder, RejectsNegativeWeights) {
   b.add_vertices(2);
   EXPECT_THROW(b.add_edge({0, 1}, -3), PreconditionError);
   EXPECT_THROW(b.set_vertex_weight(0, -2), PreconditionError);
+}
+
+TEST(HypergraphBuilder, OverflowingWeightTotalsFailTypedAtBuild) {
+  constexpr Weight kMax = std::numeric_limits<Weight>::max();
+  {  // module weights
+    HypergraphBuilder b;
+    b.add_vertex(kMax / 2 + 1);
+    b.add_vertex(kMax / 2 + 1);
+    EXPECT_THROW((void)std::move(b).build(), PreconditionError);
+  }
+  {  // net weights
+    HypergraphBuilder b;
+    b.add_vertices(2);
+    b.add_edge({0, 1}, kMax);
+    b.add_edge({0, 1}, 1);
+    EXPECT_THROW((void)std::move(b).build(), PreconditionError);
+  }
+  {  // the zero-copy path the streaming parsers use
+    EXPECT_THROW((void)Hypergraph::from_csr({0, 2}, {0, 1}, {kMax, 1}, {1}),
+                 PreconditionError);
+    EXPECT_THROW((void)Hypergraph::from_csr({0, 2, 4}, {0, 1, 0, 1}, {1, 1},
+                                            {kMax - 1, 2}),
+                 PreconditionError);
+  }
+  {  // totals that land exactly on the maximum still build
+    HypergraphBuilder b;
+    b.add_vertex(kMax - 1);
+    b.add_vertex(1);
+    b.add_edge({0, 1}, kMax);
+    const Hypergraph h = std::move(b).build();
+    EXPECT_EQ(h.total_vertex_weight(), kMax);
+    EXPECT_EQ(h.total_edge_weight(), kMax);
+  }
+}
+
+TEST(HypergraphParsers, OverflowingWeightTotalsFailTyped) {
+  // Two nets of weight 5e18 each: representable alone, not summed.
+  const std::string hgr = "2 3 1\n5000000000000000000 1 2\n"
+                          "5000000000000000000 2 3\n";
+  EXPECT_THROW((void)read_hmetis(std::string_view(hgr)), PreconditionError);
+  std::istringstream in(hgr);
+  EXPECT_THROW((void)read_hmetis(in), PreconditionError);
+  // Two nodes of area 3e9 x 2e9 = 6e18 each.
+  const std::string nodes =
+      "UCLA nodes 1.0\nNumNodes : 2\nNumTerminals : 0\n"
+      " a 3000000000 2000000000\n b 3000000000 2000000000\n";
+  const std::string nets =
+      "UCLA nets 1.0\nNumNets : 1\nNumPins : 2\nNetDegree : 2\n a B\n b B\n";
+  EXPECT_THROW((void)read_bookshelf(std::string_view(nodes),
+                                    std::string_view(nets)),
+               PreconditionError);
+  std::istringstream nodes_in(nodes);
+  std::istringstream nets_in(nets);
+  EXPECT_THROW((void)read_bookshelf(nodes_in, nets_in), PreconditionError);
 }
 
 TEST(HypergraphBuilder, SetWeightRejectsUnknownVertex) {
