@@ -137,7 +137,10 @@ BookshelfDesign read_bookshelf(std::istream& nodes, std::istream& nets) {
     std::string net_name;
     header >> degree >> net_name;
     if (degree <= 0) throw IoError("bad NetDegree in '" + line + "'");
-    if (net_name.empty()) net_name = "n" + std::to_string(n);
+    if (net_name.empty()) {
+      net_name = "n";
+      net_name += std::to_string(n);
+    }
 
     std::vector<VertexId> pins;
     for (long long p = 0; p < degree; ++p) {

@@ -14,6 +14,8 @@
 #include <charconv>
 #include <cmath>
 #include <limits>
+#include <string>
+#include <utility>
 #include <string_view>
 #include <unordered_map>
 
@@ -216,8 +218,12 @@ BookshelfDesign read_bookshelf(std::string_view nodes_text,
     if (degree <= 0) {
       throw IoError("bad NetDegree in '" + std::string(text) + "'");
     }
-    design.netlist.edge_names.emplace_back(
-        net_name.empty() ? "n" + std::to_string(n) : std::string(net_name));
+    std::string name(net_name);
+    if (name.empty()) {
+      name = "n";
+      name += std::to_string(n);
+    }
+    design.netlist.edge_names.push_back(std::move(name));
 
     const std::size_t row_begin = write;
     edge_offsets.push_back(row_begin);

@@ -5,7 +5,6 @@
 #include <utility>
 
 #include "core/recursive.hpp"
-#include "graph/maxflow.hpp"
 #include "obs/counters.hpp"
 #include "obs/trace.hpp"
 #include "partition/partition.hpp"
@@ -13,23 +12,6 @@
 namespace fhp::ml {
 
 namespace {
-
-/// Cut weight of \p sides on \p h without building a Bipartition.
-Weight cut_weight_of(const Hypergraph& h,
-                     std::span<const std::uint8_t> sides) {
-  Weight cut = 0;
-  for (EdgeId e = 0; e < h.num_edges(); ++e) {
-    bool on[2] = {false, false};
-    for (VertexId v : h.pins(e)) {
-      on[sides[v]] = true;
-      if (on[0] && on[1]) {
-        cut += h.edge_weight(e);
-        break;
-      }
-    }
-  }
-  return cut;
-}
 
 /// Grows the round's corridor: every pin of every cut net is seeded
 /// (keeping at least one exterior anchor per side so the gadget always
@@ -115,6 +97,14 @@ VertexId grow_corridor(const Hypergraph& h,
 CorridorSolve solve_corridor(const Hypergraph& h,
                              const std::vector<std::uint8_t>& sides,
                              const std::vector<std::uint8_t>& in_corridor) {
+  FlowNetwork net(0);
+  return solve_corridor(h, sides, in_corridor, net);
+}
+
+CorridorSolve solve_corridor(const Hypergraph& h,
+                             const std::vector<std::uint8_t>& sides,
+                             const std::vector<std::uint8_t>& in_corridor,
+                             FlowNetwork& net) {
   FHP_REQUIRE(sides.size() == h.num_vertices(), "one side per module");
   FHP_REQUIRE(in_corridor.size() == h.num_vertices(),
               "one corridor flag per module");
@@ -173,7 +163,7 @@ CorridorSolve solve_corridor(const Hypergraph& h,
   const auto super_s =
       static_cast<Count>(movable + 2 * static_cast<Count>(relevant.size()));
   const Count super_t = super_s + 1;
-  FlowNetwork net(super_t + 1);
+  net.reset(super_t + 1);
 
   // The Lawler hyperedge gadget: net e becomes in→out with capacity
   // edge_weight(e); every pin is wired to both split nodes with
@@ -266,7 +256,7 @@ Weight FlowRefiner::refine(const Hypergraph& h,
 
     bool adopted = false;
     if (corridor > 0) {
-      CorridorSolve solve = solve_corridor(h, sides, in_corridor);
+      CorridorSolve solve = solve_corridor(h, sides, in_corridor, net_);
       FHP_COUNTER_ADD("flow/gadget_arcs",
                       static_cast<long long>(solve.gadget_arcs));
       if (solve.solved && solve.cut_weight < current) {

@@ -28,6 +28,7 @@
 #include <memory>
 #include <vector>
 
+#include "graph/maxflow.hpp"
 #include "multilevel/refine.hpp"
 #include "util/ids.hpp"
 #include "util/workspace.hpp"
@@ -91,6 +92,12 @@ struct CorridorSolve {
     const Hypergraph& h, const std::vector<std::uint8_t>& sides,
     const std::vector<std::uint8_t>& in_corridor);
 
+/// solve_corridor() on a caller-owned network: \p net is reset and
+/// rebuilt, so one network reused across solves keeps its buffers.
+[[nodiscard]] CorridorSolve solve_corridor(
+    const Hypergraph& h, const std::vector<std::uint8_t>& sides,
+    const std::vector<std::uint8_t>& in_corridor, FlowNetwork& net);
+
 /// Flow-based corridor refinement behind the engine's Refiner seat.
 class FlowRefiner final : public Refiner {
  public:
@@ -108,6 +115,10 @@ class FlowRefiner final : public Refiner {
   /// once and reused across levels/rounds — same per-lane reuse contract
   /// as the Algorithm I kernels (util/workspace.hpp).
   Workspace ws_;
+  /// Gadget network, reset per solve so its slot and label buffers are
+  /// grown once and reused across rounds and levels (per instance, never
+  /// shared between lanes).
+  FlowNetwork net_{0};
 };
 
 /// "flow+fm": one corridor-flow pass then FM polish per level. Flow

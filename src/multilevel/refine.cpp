@@ -7,10 +7,6 @@
 
 namespace fhp::ml {
 
-namespace {
-
-/// Cut weight of \p sides on \p h, computed without building a
-/// Bipartition (no allocation beyond the caller's vectors).
 Weight cut_weight_of(const Hypergraph& h, std::span<const std::uint8_t> sides) {
   Weight cut = 0;
   for (EdgeId e = 0; e < h.num_edges(); ++e) {
@@ -25,8 +21,6 @@ Weight cut_weight_of(const Hypergraph& h, std::span<const std::uint8_t> sides) {
   }
   return cut;
 }
-
-}  // namespace
 
 /// Marks the cut frontier free (0) and the interior fixed (1): every pin
 /// of every cut net, expanded by one hop (all pins sharing a net with a

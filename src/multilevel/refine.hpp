@@ -54,6 +54,11 @@ struct FmRefinerOptions {
   VertexId full_fm_threshold = 1024;
 };
 
+/// Cut weight of \p sides (one 0/1 entry per vertex) on \p h, computed
+/// without building a Bipartition.
+[[nodiscard]] Weight cut_weight_of(const Hypergraph& h,
+                                   std::span<const std::uint8_t> sides);
+
 /// Marks the cut frontier of \p sides free (0) and the interior fixed (1)
 /// in \p fixed: every pin of every cut net, expanded by one hop. The
 /// frontier pins are listed in \p frontier. Returns false when no net is

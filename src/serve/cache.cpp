@@ -81,8 +81,8 @@ void ResultCache::evict_to_budget() {
 }
 
 void ResultCache::publish_gauges() const {
-  FHP_GAUGE_SET("cache/bytes", static_cast<long long>(resident_bytes_));
-  FHP_GAUGE_SET("cache/entries", static_cast<long long>(lru_.size()));
+  FHP_GAUGE_SET("cache/bytes", static_cast<double>(resident_bytes_));
+  FHP_GAUGE_SET("cache/entries", static_cast<double>(lru_.size()));
 }
 
 void ResultCache::note_miss() {

@@ -13,14 +13,11 @@
 
 #include "baselines/fm.hpp"
 #include "gen/circuit.hpp"
-#include "gen/grid.hpp"
-#include "gen/planted.hpp"
-#include "gen/random_hypergraph.hpp"
-#include "gen/structured.hpp"
 #include "multilevel/engine.hpp"
 #include "multilevel/refine.hpp"
 #include "obs/counters.hpp"
 #include "support/legacy_fm.hpp"
+#include "support/zoo.hpp"
 #include "util/rng.hpp"
 
 namespace fhp {
@@ -64,63 +61,6 @@ void expect_same_metrics(const PartitionMetrics& a, const PartitionMetrics& b,
   EXPECT_EQ(a.proper, b.proper) << where;
 }
 
-/// \p h with geometric module weights (mean ~3) and small random net
-/// weights drawn from \p rng: the ranked tournament then sees many
-/// distinct weights and ties.
-Hypergraph with_random_weights(const Hypergraph& h, Rng& rng) {
-  HypergraphBuilder b;
-  for (VertexId v = 0; v < h.num_vertices(); ++v) {
-    Weight w = 1;
-    while (rng.next_bool(0.6)) ++w;
-    b.add_vertex(w);
-  }
-  for (EdgeId e = 0; e < h.num_edges(); ++e) {
-    b.add_edge(h.pins(e), 1 + static_cast<Weight>(rng.next_below(4)));
-  }
-  return std::move(b).build();
-}
-
-/// The generator zoo: every family at a few small sizes, each with its
-/// native (mostly unit) weights and with random weights.
-std::vector<std::pair<std::string, Hypergraph>> zoo() {
-  std::vector<std::pair<std::string, Hypergraph>> out;
-  Rng rng(2024);
-  const auto add = [&](const std::string& name, Hypergraph h) {
-    Hypergraph weighted = with_random_weights(h, rng);
-    out.emplace_back(name + "/unit", std::move(h));
-    out.emplace_back(name + "/weighted", std::move(weighted));
-  };
-  for (const Technology tech : {Technology::kPcb, Technology::kGateArray,
-                                Technology::kStandardCell}) {
-    add("circuit-" + std::to_string(static_cast<int>(tech)),
-        generate_circuit(table2_params(160, 260, tech), 7));
-  }
-  CircuitParams geometric = table2_params(220, 330, Technology::kStandardCell);
-  geometric.weight_geometric_p = 0.4;
-  out.emplace_back("circuit-geometric", generate_circuit(geometric, 11));
-  GridParams grid;
-  grid.rows = 9;
-  grid.cols = 11;
-  grid.segment_fraction = 0.3;
-  add("grid", grid_circuit(grid, 5));
-  PlantedParams planted;
-  planted.num_vertices = 120;
-  planted.num_edges = 220;
-  planted.planted_cut = 4;
-  planted.max_edge_size = 4;
-  add("planted", planted_instance(planted, 9).hypergraph);
-  RandomHypergraphParams random;
-  random.num_vertices = 90;
-  random.num_edges = 140;
-  random.max_edge_size = 5;
-  add("random", random_hypergraph(random, 13));
-  add("adder", ripple_carry_adder(6));
-  add("multiplier", array_multiplier(4));
-  add("butterfly", butterfly_network(2, 3));
-  add("htree", h_tree(4));
-  return out;
-}
-
 /// A random fixed mask fixing about a quarter of the modules.
 std::vector<std::uint8_t> random_mask(VertexId n, Rng& rng) {
   std::vector<std::uint8_t> fixed(n, 0);
@@ -129,7 +69,7 @@ std::vector<std::uint8_t> random_mask(VertexId n, Rng& rng) {
 }
 
 TEST(FmDifferential, MatchesLegacyEngineAcrossTheOptionMatrix) {
-  const auto instances = zoo();
+  const auto instances = test::generator_zoo();
   std::size_t runs = 0;
   for (const auto& [name, h] : instances) {
     Rng rng(static_cast<std::uint64_t>(h.num_vertices()) * 31 +
@@ -168,7 +108,7 @@ TEST(FmDifferential, MatchesLegacyEngineAcrossTheOptionMatrix) {
 }
 
 TEST(FmDifferential, RefinerMatchesLegacyInBoundaryAndWholeInstanceMode) {
-  for (const auto& [name, h] : zoo()) {
+  for (const auto& [name, h] : test::generator_zoo()) {
     Rng rng(static_cast<std::uint64_t>(h.num_edges()) * 17 + 3);
     for (const bool boundary : {true, false}) {
       for (const int max_passes : {1, 4, 32}) {

@@ -98,7 +98,9 @@ TEST(PaperFigure4, CrossingSignalsAreCAndH) {
   EXPECT_TRUE(p.is_cut(C));
   EXPECT_TRUE(p.is_cut(H));
   for (EdgeId e = 0; e < 12; ++e) {
-    if (e != C && e != H) EXPECT_FALSE(p.is_cut(e)) << "signal " << e;
+    if (e != C && e != H) {
+      EXPECT_FALSE(p.is_cut(e)) << "signal " << e;
+    }
   }
 }
 

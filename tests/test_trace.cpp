@@ -390,7 +390,9 @@ TEST_F(TraceTest, SnapshotWhileWorkersRecord) {
       const TraceReport report = obs::snapshot();
       for (std::size_t i = 0; i < report.spans.size(); ++i) {
         const std::uint32_t parent = report.spans[i].parent;
-        if (parent != obs::kNoSpan) ASSERT_LT(parent, i);
+        if (parent != obs::kNoSpan) {
+          ASSERT_LT(parent, i);
+        }
       }
     }
   });
